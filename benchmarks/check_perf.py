@@ -2,11 +2,9 @@
 """CI perf-regression gate over the perf-smoke measurements.
 
 Compares the fresh perf-smoke run (``benchmarks/results/perf_current.json``)
-against the baseline the tree shipped with (the copy of ``BENCH_perf.json``
-that ``benchmarks/test_perf_smoke.py`` snapshots to
-``benchmarks/results/perf_baseline.json`` *before* it may rewrite the
-trajectory) and fails when any label's ``refs_per_sec`` dropped by more
-than the tolerance.
+against the committed trajectory ``BENCH_perf.json`` (which the perf smoke
+never rewrites) and fails when any label's ``refs_per_sec`` dropped by
+more than the tolerance.
 
 Only per-label throughput is compared.  Environment-dependent report
 fields — ``python``, ``machine``, absolute ``elapsed_s`` — are ignored, so
@@ -38,7 +36,7 @@ import pathlib
 import sys
 
 HERE = pathlib.Path(__file__).resolve().parent
-DEFAULT_BASELINE = HERE / "results" / "perf_baseline.json"
+DEFAULT_BASELINE = HERE.parent / "BENCH_perf.json"
 DEFAULT_CURRENT = HERE / "results" / "perf_current.json"
 
 
@@ -84,8 +82,8 @@ def check(baseline: dict, current: dict, tolerance: float) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=pathlib.Path, default=DEFAULT_BASELINE,
-                        help="baseline payload (default: the pre-run snapshot "
-                             "of BENCH_perf.json)")
+                        help="baseline payload (default: the committed "
+                             "BENCH_perf.json)")
     parser.add_argument("--current", type=pathlib.Path, default=DEFAULT_CURRENT,
                         help="fresh payload written by the perf smoke")
     parser.add_argument(
@@ -101,7 +99,7 @@ def main(argv=None) -> int:
     if not (0.0 <= args.tolerance < 1.0):
         parser.error("tolerance must be in [0, 1)")
 
-    for path, hint in ((args.baseline, "snapshotted baseline"),
+    for path, hint in ((args.baseline, "baseline"),
                        (args.current, "fresh measurement")):
         if not path.is_file():
             print(

@@ -3,11 +3,9 @@
 Times a fixed workload (Apache, SMS-1K, analytic timing — the hot path
 every figure exercises) plus one contended configuration and one
 **sampled** configuration (``pv8-sampled``: the two-speed engine of
-``repro.sim.sampling``), and maintains ``BENCH_perf.json`` at the
-repository root so successive PRs accumulate a throughput trajectory.
-Most assertions are deliberately loose (the run must finish and make
-progress); the JSON is the artifact.  The sampled label carries two hard
-guarantees on top:
+``repro.sim.sampling``), for comparison with the committed throughput
+trajectory ``BENCH_perf.json``.  Most assertions are deliberately loose
+(the run must finish and make progress); the JSON is the artifact.  The sampled label carries two hard guarantees on top:
 
 * ``pv8-sampled`` must deliver >= 5x the refs/sec of the full-detail
   ``pv8`` label on the same machine — measured as *interleaved pairs*
@@ -34,26 +32,18 @@ the second sweep invocation's win.  The warm run must beat the cold one
 identical result; the store is scoped to this label, so every other
 label runs store-free exactly as before.
 
-Three files are involved so the committed trajectory stays stable across
-machines while CI still gates on fresh numbers:
+The run writes ``benchmarks/results/perf_current.json`` (ignored by
+git) and nothing else: the suite never touches a tracked file.  The perf
+gate (``benchmarks/check_perf.py``) compares that fresh run against the
+committed trajectory ``BENCH_perf.json``.  A change that means to
+re-record the trajectory copies the fresh run over it explicitly::
 
-* ``benchmarks/results/perf_baseline.json`` — a faithful copy of the
-  ``BENCH_perf.json`` found *before* this run (what the tree was shipped
-  with); the perf gate (``benchmarks/check_perf.py``) compares against it.
-* ``benchmarks/results/perf_current.json`` — this run's measurements,
-  written unconditionally.
-* ``BENCH_perf.json`` — rewritten only when some label's ``refs_per_sec``
-  moved beyond the tolerance (``REPRO_PERF_TOLERANCE``, default 25%), so
-  runner-to-runner noise and environment-dependent fields (``python``,
-  ``machine``) stop churning the committed file on every machine.  Set
-  ``REPRO_PERF_UPDATE=0`` to never touch the committed trajectory (e.g.
-  on a machine much slower than the one that recorded it).
+    cp benchmarks/results/perf_current.json BENCH_perf.json
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import platform
 import time
@@ -64,15 +54,8 @@ from repro.sim.sampling import SamplingConfig
 from repro.sim.simulator import CMPSimulator
 from repro.workloads.registry import get_workload
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_perf.json"
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
-BASELINE_SNAPSHOT = RESULTS_DIR / "perf_baseline.json"
 CURRENT_PATH = RESULTS_DIR / "perf_current.json"
-#: Records what *we* last wrote to BENCH_perf.json, so an externally
-#: changed trajectory (git pull / checkout) re-arms the baseline snapshot
-#: while our own rewrites do not.
-WRITTEN_MARKER = RESULTS_DIR / "perf_trajectory_written.json"
 
 #: Fixed measurement workload: big enough to dominate setup cost, small
 #: enough to stay a smoke test.
@@ -103,10 +86,6 @@ VEC_SAMPLING = SamplingConfig.smarts(
 #: Required pv8-sampled-vec vs pv8-sampled throughput ratio (same
 #: machine, interleaved pairs).
 VEC_SPEEDUP_FLOOR = 2.0
-
-#: Relative refs/sec movement below which the committed trajectory file is
-#: left untouched (machine noise, not a real perf change).
-TOLERANCE = float(os.environ.get("REPRO_PERF_TOLERANCE", "0.25"))
 
 
 def _time_once(prefetcher, system=None, window_refs: int = 0,
@@ -333,31 +312,6 @@ def _measure_warmstore():
     return run
 
 
-def _trajectory_moved(old_payload, runs) -> bool:
-    """Whether the committed trajectory should be rewritten.
-
-    Only ``refs_per_sec`` per label is compared — never the environment
-    fields (``python``, ``machine``) — and only movements beyond the
-    tolerance count, in either direction.
-    """
-    if not isinstance(old_payload, dict):
-        return True
-    old_runs = {
-        run.get("label"): run
-        for run in old_payload.get("runs", [])
-        if isinstance(run, dict)
-    }
-    if {run["label"] for run in runs} != set(old_runs):
-        return True
-    for run in runs:
-        old_rate = old_runs[run["label"]].get("refs_per_sec", 0)
-        if not old_rate or old_rate <= 0:
-            return True
-        if abs(run["refs_per_sec"] - old_rate) / old_rate > TOLERANCE:
-            return True
-    return False
-
-
 def test_perf_smoke():
     sms_run, _ = _measure("sms-1k", PrefetcherConfig.dedicated(1024, 11))
     # The pv8 label records per-window IPCs at the sampling period's grain
@@ -382,31 +336,6 @@ def test_perf_smoke():
     text = json.dumps(payload, indent=1) + "\n"
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     CURRENT_PATH.write_text(text)
-
-    old_payload = None
-    if BENCH_PATH.is_file():
-        old_text = BENCH_PATH.read_text()
-        # Snapshot the trajectory the checkout *shipped with*, exactly once
-        # per state of the committed file: a run in the same workspace must
-        # not replace it with its own numbers (the perf gate would then
-        # compare this code against itself), but a BENCH_perf.json changed
-        # by something other than us (git pull, checkout) re-arms it.
-        last_written = (
-            WRITTEN_MARKER.read_text() if WRITTEN_MARKER.is_file() else None
-        )
-        if not BASELINE_SNAPSHOT.is_file() or (
-            old_text != BASELINE_SNAPSHOT.read_text()
-            and old_text != last_written
-        ):
-            BASELINE_SNAPSHOT.write_text(old_text)
-        try:
-            old_payload = json.loads(old_text)
-        except ValueError:
-            old_payload = None
-    update_ok = os.environ.get("REPRO_PERF_UPDATE", "1") != "0"
-    if update_ok and _trajectory_moved(old_payload, runs):
-        BENCH_PATH.write_text(text)
-        WRITTEN_MARKER.write_text(text)
 
     for run in runs:
         # Progress, not speed: wildly slow CI boxes must not flake here.

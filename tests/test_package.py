@@ -1,5 +1,8 @@
 """Public API surface of the top-level package."""
 
+import subprocess
+import sys
+
 import repro
 
 
@@ -38,6 +41,20 @@ class TestExports:
         import repro.prefetch
         import repro.sim
         import repro.workloads
+
+    def test_cli_import_loads_no_scipy(self):
+        """Start-up stays scipy-free: the t quantile is pure Python."""
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_interface_is_shared(self):
         """DedicatedPHT and VirtualizedPredictorTable share the interface."""
